@@ -194,22 +194,15 @@ fn bench_threading(records: &mut Vec<Record>) {
     });
     pool::set_threads(pool::default_threads());
 
-    // The decode-time vocab projection shape: a single-row product that
-    // the classic row fan-out could never parallelize. The parallel
-    // variant exercises the column-chunked single-row path.
+    // The decode-time vocab projection shape: a single-row product,
+    // which always runs the serial scalar row kernel.
     let data = (0..512).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let v = Tensor::from_vec(1, 512, data);
     let data = (0..512 * 1024).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let proj = Tensor::from_vec(512, 1024, data);
-    pool::set_threads(1);
     bench("tensor/matmul_1row_serial", records, || {
         black_box(black_box(&v).matmul(black_box(&proj)));
     });
-    pool::set_threads(pool::default_threads().max(2));
-    bench("tensor/matmul_1row_parallel", records, || {
-        black_box(black_box(&v).matmul(black_box(&proj)));
-    });
-    pool::set_threads(pool::default_threads());
 
     let mut cfg = ModelConfig::tiny();
     cfg.batch_size = 8;

@@ -4,14 +4,18 @@
 //! The pipeline owns the executor (`nlidb-storage`), so decode time can
 //! use a signal no learned reranker provides for free: *does this
 //! candidate run, and does it return anything?* [`ExecutionGuide`]
-//! plugs into [`Seq2Seq::decode_beam_guided`](crate::seq2seq::Seq2Seq)
-//! as a [`DecodeGuide`]: the moment a beam candidate completes it is
-//! decoded to annotated SQL, recovered against the question's
-//! [`AnnotationMap`], and executed against the target table. The
-//! verdict ([`GuideVerdict`]) is memoized per token sequence and drives
-//! the deterministic repair walk in
-//! [`Nlidb::predict_guided`](crate::pipeline::Nlidb::predict_guided) —
-//! it never reorders the beam itself (see [`DecodeGuide`] for why).
+//! judges a finished beam candidate by decoding it to annotated SQL,
+//! recovering it against the question's [`AnnotationMap`], and executing
+//! it against the target table. The verdict ([`GuideVerdict`]) is
+//! memoized per token sequence and drives the deterministic repair walk
+//! in [`Nlidb::predict_guided`](crate::pipeline::Nlidb::predict_guided).
+//!
+//! Judging is **lazy**: the beam search runs exactly as unguided
+//! decoding does, and the repair walk asks for a verdict only when it
+//! reaches a candidate. The top candidate is judged first; the rest of
+//! the beam is judged only if the top fails to execute. The guide never
+//! reorders or prunes the beam — a verdict only decides which ranked
+//! candidate the walk commits to.
 //!
 //! ## Pruning rules
 //!
@@ -30,18 +34,16 @@
 //!
 //! Every judgement runs under the `decode.guide.check` span and bumps
 //! the `decode.guide.*` counters (`checks`, `memo_hits`, `pass`,
-//! `vacuous`, `exec_errors`, `unrecoverable`, plus per-step `steps` /
-//! `live_beams` from the search hooks). Because judging *is* executing,
-//! guide activity also shows up in the existing `storage.*` executor
-//! counters (`storage.queries`, `storage.rows_scanned`, …) — the cost
-//! of guidance is visible end to end in one trace.
+//! `vacuous`, `exec_errors`, `unrecoverable`). Because judging *is*
+//! executing, guide activity also shows up in the existing `storage.*`
+//! executor counters (`storage.queries`, `storage.rows_scanned`, …) —
+//! the cost of guidance is visible end to end in one trace.
 
 use std::collections::BTreeMap;
 
 use nlidb_sqlir::{recover, AnnotationMap, Query};
 use nlidb_storage::{execute, Table};
 
-use crate::seq2seq::DecodeGuide;
 use crate::vocab::OutVocab;
 
 /// The guide's classification of one completed beam candidate.
@@ -59,10 +61,9 @@ pub enum GuideVerdict {
     Unrecoverable,
 }
 
-/// A [`DecodeGuide`] that judges candidates by recovering and executing
-/// them against the target table, memoizing one verdict per token
-/// sequence (candidates are re-judged during the repair walk, and beams
-/// can converge on identical sequences).
+/// Judges candidates by recovering and executing them against the target
+/// table, memoizing one verdict per token sequence (the repair walk's
+/// `Pass` and `Vacuous` passes visit the same candidates).
 pub struct ExecutionGuide<'a> {
     out_vocab: &'a OutVocab,
     map: &'a AnnotationMap,
@@ -119,19 +120,6 @@ impl<'a> ExecutionGuide<'a> {
                 Ok(_) => GuideVerdict::Pass,
             },
         }
-    }
-}
-
-impl DecodeGuide for ExecutionGuide<'_> {
-    fn on_step(&mut self, _step: usize, live_beams: usize) {
-        if nlidb_trace::enabled() {
-            nlidb_trace::count("decode.guide.steps", 1);
-            nlidb_trace::count("decode.guide.live_beams", live_beams as u64);
-        }
-    }
-
-    fn admit(&mut self, seq: &[usize]) -> bool {
-        matches!(self.verdict(seq), GuideVerdict::Pass)
     }
 }
 

@@ -322,10 +322,10 @@ impl Nlidb {
     }
 
     /// Execution-guided prediction `q -> s` (ROADMAP item 3): decodes the
-    /// full beam, judges every candidate by recovering and executing it
-    /// against `table` (see [`ExecutionGuide`]), and commits the first
-    /// candidate — in the model's own rank order — that survives. The
-    /// repair walk is deterministic:
+    /// full beam, then walks it in the model's own rank order, judging
+    /// candidates by recovering and executing them against `table` (see
+    /// [`ExecutionGuide`]) only as the walk reaches them, and commits the
+    /// first that survives. The repair walk is deterministic:
     ///
     /// The governing invariant: **guidance never second-guesses an
     /// answer that already executes — it only repairs failing ones.**
@@ -353,7 +353,8 @@ impl Nlidb {
     /// Steps 1–2 cover every input whose unguided answer executes, so
     /// guided `Acc_ex` can only differ from the plain beam on inputs the
     /// plain beam already got wrong (an executing wrong answer is left
-    /// alone; a failing one is replaced by something that runs).
+    /// alone; a failing one is replaced by something that runs). When the
+    /// top candidate executes, it is the only candidate judged.
     pub fn predict_guided(&self, question: &[String], table: &Table) -> Option<Query> {
         self.predict_guided_in(question, &self.table_context(table), table)
     }
@@ -371,22 +372,22 @@ impl Nlidb {
         let _t = nlidb_trace::span("decode.guide.predict");
         let ann = self.annotate_question_in(question, ctx);
         let (src, copy) = self.encode_src(&ann.tokens);
-        let mut guide = ExecutionGuide::new(&self.out_vocab, &ann.map, table);
         let ranked: Vec<Vec<usize>> = if src.is_empty() {
             Vec::new()
         } else {
             let _t = nlidb_trace::span("pipeline.decode");
             match &self.translator {
                 Translator::Gru(m) => {
-                    m.decode_beam_guided(&src, &copy, self.opts.model.beam_width, &mut guide)
+                    m.decode_beam_ranked(&src, &copy, self.opts.model.beam_width)
                 }
                 Translator::Transformer(m) => vec![m.decode_greedy(&src, &copy)],
             }
         };
-        // Repair walk, in the model's rank order (memoized verdicts from
-        // the search are reused here). An executing top candidate —
+        // Repair walk, in the model's rank order, judging each candidate
+        // only when the walk reaches it. An executing top candidate —
         // vacuous or not — is committed as-is; repair engages only when
         // the unguided answer fails to execute.
+        let mut guide = ExecutionGuide::new(&self.out_vocab, &ann.map, table);
         let top_verdict = ranked.first().map(|t| guide.verdict(t));
         if matches!(top_verdict, Some(GuideVerdict::Pass | GuideVerdict::Vacuous)) {
             nlidb_trace::count("decode.guide.repair.top", 1);

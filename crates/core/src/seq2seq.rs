@@ -25,29 +25,6 @@ use crate::vocab::OutVocab;
 /// Maximum decoded target length (annotated SQL is short).
 pub const MAX_DECODE_LEN: usize = 24;
 
-/// A pluggable observer/judge for beam decoding (execution-guided
-/// decoding, ROADMAP item 3).
-///
-/// The guide is deliberately a **pure filter, never a reorderer**: the
-/// beam search explores, scores, ranks, and truncates candidates exactly
-/// as the unguided [`Seq2Seq::decode_beam`] does, and the guide's
-/// verdicts influence only which ranked candidate the *caller* commits
-/// to (the repair walk in `pipeline::Nlidb::predict_guided`). Letting
-/// verdicts free beam slots mid-search would admit continuations the
-/// unguided search prunes, silently changing the top candidate and
-/// breaking the "guidance off ≡ guidance on when the top candidate
-/// passes" determinism pin (see DESIGN.md "Execution-guided decoding").
-pub trait DecodeGuide {
-    /// Called once per decode step with the step index and the number of
-    /// beams still extending (cost accounting; must not affect output).
-    fn on_step(&mut self, step: usize, live_beams: usize);
-
-    /// Judges a completed candidate (EOS reached). Implementations
-    /// should memoize: the same sequence is re-judged during the
-    /// caller's repair walk. Must be a pure function of `seq`.
-    fn admit(&mut self, seq: &[usize]) -> bool;
-}
-
 /// One training item: encoded source, per-position copy alignment, and
 /// target ids (ending in EOS).
 #[derive(Debug, Clone)]
@@ -127,7 +104,9 @@ impl Seq2Seq {
         self.copy_enabled
     }
 
-    /// Builds the `[n, V]` copy-alignment indicator matrix.
+    /// Builds the `[n, V]` copy-alignment indicator matrix (training
+    /// only; inference scatters the same mass by index in
+    /// [`Self::decode_step`]).
     fn copy_matrix(&self, copy: &[Option<usize>]) -> Tensor {
         let mut m = Tensor::zeros(copy.len(), self.out_vocab.len());
         for (j, c) in copy.iter().enumerate() {
@@ -318,7 +297,14 @@ impl Seq2Seq {
     }
 
     /// One decode step (inference): returns per-token probabilities and
-    /// the next `(d, β)` state.
+    /// the next `(d, β)` state. `copy` is the per-source-position copy
+    /// alignment when the copy mechanism is enabled.
+    ///
+    /// Copy mass is scattered by index: source position `j` adds its
+    /// attention mass to output token `copy[j]`. Each output cell receives
+    /// its additions in ascending `j`, exactly as the `[n, V]` indicator
+    /// product of [`Self::forward_loss`] would add `1.0 * mass`, so the
+    /// probabilities are bitwise identical to that dense formulation.
     fn decode_step(
         &self,
         g: &mut Graph,
@@ -326,7 +312,7 @@ impl Seq2Seq {
         d_prev: &Tensor,
         beta_prev: &Tensor,
         prev_tok: usize,
-        copy_m: &Option<Tensor>,
+        copy: Option<&[Option<usize>]>,
     ) -> (Vec<f32>, Tensor, Tensor) {
         g.reset();
         let h_node = g.leaf(h.clone());
@@ -338,12 +324,12 @@ impl Seq2Seq {
         let att = self.attn.forward(g, &self.store, h_node, d);
         let feats = g.hcat(d, att.context);
         let logits = self.u.forward(g, &self.store, feats);
-        let probs: Vec<f32> = match copy_m {
+        let probs: Vec<f32> = match copy {
             None => {
                 let p = g.softmax_rows(logits);
                 g.value(p).data().to_vec()
             }
-            Some(m) => {
+            Some(copy) => {
                 let l = g.value(logits).data().to_vec();
                 let scores = g.value(att.scores).data().to_vec();
                 let shift = l
@@ -352,13 +338,9 @@ impl Seq2Seq {
                     .cloned()
                     .fold(f32::NEG_INFINITY, f32::max);
                 let mut p: Vec<f32> = l.iter().map(|&x| (x - shift).exp()).collect();
-                for (j, &s) in scores.iter().enumerate() {
-                    let mass = (s - shift).exp();
-                    for (v, pv) in p.iter_mut().enumerate() {
-                        let w = m.get(j, v);
-                        if w > 0.0 {
-                            *pv += w * mass;
-                        }
+                for (&s, c) in scores.iter().zip(copy) {
+                    if let Some(pv) = c.and_then(|o| p.get_mut(o)) {
+                        *pv += (s - shift).exp();
                     }
                 }
                 let total: f32 = p.iter().sum::<f32>().max(1e-12);
@@ -366,38 +348,6 @@ impl Seq2Seq {
             }
         };
         (probs, g.value(d).clone(), g.value(att.context).clone())
-    }
-
-    /// Greedy decoding: equivalent to [`Self::decode_beam`] with width 1,
-    /// without carrying beam bookkeeping. Ties break to the lowest token
-    /// index (strict `>` keeps the first maximum), matching the beam
-    /// path's stable descending sort — `decode_beam1_matches_greedy` in
-    /// the regression suite pins this, including on exact score ties.
-    pub fn decode_greedy(&self, src: &[usize], copy: &[Option<usize>]) -> Vec<usize> {
-        let mut g = Graph::new();
-        let (h, mut d, mut beta) = self.encode_values(&mut g, src);
-        let copy_m = if self.copy_enabled { Some(self.copy_matrix(copy)) } else { None };
-        let eos = self.out_vocab.eos();
-        let bos = self.out_vocab.bos();
-        let mut seq = Vec::new();
-        for _ in 0..MAX_DECODE_LEN {
-            let prev = *seq.last().unwrap_or(&bos);
-            let (probs, d_next, beta_next) =
-                self.decode_step(&mut g, &h, &d, &beta, prev, &copy_m);
-            let mut best = 0;
-            for (tok, &p) in probs.iter().enumerate() {
-                if p > probs[best] {
-                    best = tok;
-                }
-            }
-            if best == eos {
-                break;
-            }
-            seq.push(best);
-            d = d_next;
-            beta = beta_next;
-        }
-        seq
     }
 
     /// Beam-search decoding (paper: width 5). Returns the best token
@@ -410,46 +360,20 @@ impl Seq2Seq {
     /// descending-score order (the first element is exactly what
     /// `decode_beam` returns). The ranked tail is what the
     /// execution-guided repair walk falls back through.
+    ///
+    /// This is the model's only decoder: width 1 is greedy decoding.
+    /// Continuations are ranked by a stable descending sort, so score
+    /// ties break to the lowest token index.
     pub fn decode_beam_ranked(
         &self,
         src: &[usize],
         copy: &[Option<usize>],
         width: usize,
     ) -> Vec<Vec<usize>> {
-        self.beam_candidates(src, copy, width, None)
-    }
-
-    /// [`Self::decode_beam_ranked`] with a [`DecodeGuide`] observing the
-    /// search: `on_step` fires each decode step, `admit` fires the
-    /// moment a candidate completes (so execution verdicts are computed
-    /// — and memoized — during the search, "at candidate completion").
-    /// The returned ranking is byte-identical to the unguided one; the
-    /// guide never prunes or reorders beams (see [`DecodeGuide`]).
-    pub fn decode_beam_guided(
-        &self,
-        src: &[usize],
-        copy: &[Option<usize>],
-        width: usize,
-        guide: &mut dyn DecodeGuide,
-    ) -> Vec<Vec<usize>> {
-        self.beam_candidates(src, copy, width, Some(guide))
-    }
-
-    /// The one beam-search loop behind `decode_beam`,
-    /// `decode_beam_ranked`, and `decode_beam_guided`: identical
-    /// exploration/scoring/truncation in all three, with the guide (when
-    /// present) strictly observing.
-    fn beam_candidates(
-        &self,
-        src: &[usize],
-        copy: &[Option<usize>],
-        width: usize,
-        mut guide: Option<&mut dyn DecodeGuide>,
-    ) -> Vec<Vec<usize>> {
         assert!(width >= 1);
         let mut g = Graph::new();
         let (h, d0, b0) = self.encode_values(&mut g, src);
-        let copy_m = if self.copy_enabled { Some(self.copy_matrix(copy)) } else { None };
+        let copy = self.copy_enabled.then_some(copy);
         let eos = self.out_vocab.eos();
         let bos = self.out_vocab.bos();
 
@@ -462,12 +386,9 @@ impl Seq2Seq {
         }
         let mut beams =
             vec![Beam { seq: Vec::new(), logp: 0.0, d: d0, beta: b0, done: false }];
-        for step in 0..MAX_DECODE_LEN {
+        for _ in 0..MAX_DECODE_LEN {
             if beams.iter().all(|b| b.done) {
                 break;
-            }
-            if let Some(gd) = guide.as_deref_mut() {
-                gd.on_step(step, beams.iter().filter(|b| !b.done).count());
             }
             let mut next: Vec<Beam> = Vec::new();
             for b in &beams {
@@ -483,7 +404,7 @@ impl Seq2Seq {
                 }
                 let prev = *b.seq.last().unwrap_or(&bos);
                 let (probs, d, beta) =
-                    self.decode_step(&mut g, &h, &b.d, &b.beta, prev, &copy_m);
+                    self.decode_step(&mut g, &h, &b.d, &b.beta, prev, copy);
                 // Top `width` continuations of this beam.
                 let mut idx: Vec<usize> = (0..probs.len()).collect();
                 idx.sort_by(|&x, &y| probs[y].total_cmp(&probs[x]));
@@ -492,12 +413,6 @@ impl Seq2Seq {
                     let done = tok == eos;
                     if !done {
                         seq.push(tok);
-                    } else if let Some(gd) = guide.as_deref_mut() {
-                        // Candidate completion: judge (and memoize) now,
-                        // while the search is still running. The verdict
-                        // is *recorded*, not acted on — pruning here
-                        // would free a beam slot and reorder the search.
-                        let _ = gd.admit(&seq);
                     }
                     next.push(Beam {
                         seq,
@@ -614,7 +529,7 @@ mod tests {
         let test = toy_data(&cfg, &vocab, &ov, 12, 99);
         let mut exact = 0;
         for item in &test {
-            let pred = model.decode_greedy(&item.src, &item.copy);
+            let pred = model.decode_beam(&item.src, &item.copy, 1);
             let mut gold = item.tgt.clone();
             gold.pop(); // strip EOS
             if pred == gold {
@@ -636,7 +551,7 @@ mod tests {
         for item in &test {
             let mut gold = item.tgt.clone();
             gold.pop();
-            if model.decode_greedy(&item.src, &item.copy) == gold {
+            if model.decode_beam(&item.src, &item.copy, 1) == gold {
                 greedy_ok += 1;
             }
             if model.decode_beam(&item.src, &item.copy, 5) == gold {

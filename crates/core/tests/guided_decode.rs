@@ -2,21 +2,19 @@
 //!
 //! Two contracts are pinned here:
 //!
-//! 1. **The guide is a pure filter, never a reorderer.** With guidance
-//!    disabled, decoding is byte-identical to the pre-guidance
-//!    `decode_beam` (same search, same ranked list, same top candidate)
-//!    across thread counts; with guidance enabled, the *search* is still
-//!    byte-identical — even a guide that rejects everything cannot change
-//!    the ranked list, because verdicts only steer the post-search repair
-//!    walk. When the top candidate passes execution, the guided
-//!    prediction equals the unguided one byte-for-byte.
+//! 1. **The guide is a pure filter, never a reorderer.** Guided
+//!    prediction walks the same ranked beam `decode_beam_ranked` returns,
+//!    whose head is exactly `decode_beam`'s answer at every width and
+//!    thread count; verdicts only steer the post-search repair walk.
+//!    When the top candidate passes execution, the guided prediction
+//!    equals the unguided one byte-for-byte.
 //!
 //! 2. **Never-fails.** Over seeded sharded corpora (`data::shard`),
 //!    every guided prediction either executes without `ExecError` on its
 //!    table or is the documented deterministic last resort — exactly the
 //!    unguided prediction (DESIGN.md, "Execution-guided decoding").
 
-use nlidb_core::seq2seq::{DecodeGuide, Seq2Seq, Seq2SeqItem};
+use nlidb_core::seq2seq::{Seq2Seq, Seq2SeqItem};
 use nlidb_core::vocab::OutVocab;
 use nlidb_core::{ModelConfig, Nlidb, NlidbOptions};
 use nlidb_data::shard::{CorpusPlan, ShardedCorpusConfig, Split};
@@ -82,38 +80,15 @@ fn trained_toy(seed: u64) -> (Seq2Seq, Vec<Seq2SeqItem>) {
     (model, data)
 }
 
-/// A guide with a fixed admit answer that records how it was driven.
-struct FixedGuide {
-    answer: bool,
-    steps: usize,
-    admits: usize,
-}
-
-impl FixedGuide {
-    fn new(answer: bool) -> FixedGuide {
-        FixedGuide { answer, steps: 0, admits: 0 }
-    }
-}
-
-impl DecodeGuide for FixedGuide {
-    fn on_step(&mut self, _step: usize, _live_beams: usize) {
-        self.steps += 1;
-    }
-
-    fn admit(&mut self, _seq: &[usize]) -> bool {
-        self.admits += 1;
-        self.answer
-    }
-}
-
 #[test]
-fn guidance_off_is_byte_identical_to_decode_beam_and_guides_never_reorder() {
+fn guidance_off_is_byte_identical_to_decode_beam() {
     let _guard = pool_lock();
     for seed in [7u64, 8, 9] {
         let (model, data) = trained_toy(seed);
-        let mut admits_total = 0usize;
-        for threads in [1usize, pool::default_threads()] {
+        let mut reference: Vec<Vec<Vec<usize>>> = Vec::new();
+        for (ti, threads) in [1usize, pool::default_threads()].into_iter().enumerate() {
             pool::set_threads(threads);
+            let mut k = 0;
             for item in data.iter().take(6) {
                 for width in [1usize, 2, 3] {
                     let top = model.decode_beam(&item.src, &item.copy, width);
@@ -123,27 +98,18 @@ fn guidance_off_is_byte_identical_to_decode_beam_and_guides_never_reorder() {
                         top, ranked[0],
                         "seed {seed} threads {threads}: decode_beam must be ranked[0]"
                     );
-                    // A guide — even one that rejects every candidate —
-                    // observes the search but cannot change it.
-                    for answer in [true, false] {
-                        let mut guide = FixedGuide::new(answer);
-                        let guided =
-                            model.decode_beam_guided(&item.src, &item.copy, width, &mut guide);
+                    if ti == 0 {
+                        reference.push(ranked);
+                    } else {
                         assert_eq!(
-                            guided, ranked,
-                            "seed {seed} threads {threads} width {width} admit={answer}: \
-                             guide changed the ranked beam"
+                            ranked, reference[k],
+                            "seed {seed} width {width}: ranked beam changed with thread count"
                         );
-                        assert!(guide.steps > 0, "on_step never fired");
-                        // `admit` fires only when a candidate reaches EOS
-                        // inside the decode budget — not every toy item
-                        // completes, so the coverage check is per seed.
-                        admits_total += guide.admits;
                     }
+                    k += 1;
                 }
             }
         }
-        assert!(admits_total > 0, "seed {seed}: admit never fired on any completed candidate");
     }
     pool::set_threads(pool::default_threads());
 }

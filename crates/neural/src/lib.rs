@@ -14,7 +14,6 @@
 //! - [`attention::BahdanauAttention`] — additive attention used by both the
 //!   §IV-B(iii) classifier head and the §V-B decoder (whose raw scores also
 //!   feed the copy mechanism).
-//! - [`dropout::dropout`] — inverted dropout.
 //!
 //! Layers register their parameters in a shared
 //! [`nlidb_tensor::ParamStore`] under a caller-chosen prefix and are pure
@@ -24,14 +23,12 @@
 #![warn(missing_docs)]
 
 pub mod attention;
-pub mod dropout;
 pub mod embedding;
 pub mod gru;
 pub mod linear;
 pub mod lstm;
 
 pub use attention::{AttentionOut, BahdanauAttention};
-pub use dropout::dropout;
 pub use embedding::{CharCnn, Embedding};
 pub use gru::{run_gru, BiGru, GruCell};
 pub use linear::{Activation, Linear, Mlp};

@@ -150,16 +150,15 @@ impl Tensor {
     /// Matrix product `self @ other`.
     ///
     /// Dispatches through [`crate::matmul`]: a scalar i-k-j reference
-    /// loop, a column-chunked single-row path for `[1, K]` products, and
-    /// a cache-blocked packed-B kernel for larger shapes. All paths keep
-    /// the per-output-cell reduction order of the scalar loop, so the
-    /// result is bitwise identical regardless of kernel selection
+    /// loop (the only path for `[1, K]` products) and a cache-blocked
+    /// packed-B kernel for larger shapes. All paths keep the
+    /// per-output-cell reduction order of the scalar loop, so the result
+    /// is bitwise identical regardless of kernel selection
     /// ([`crate::matmul::set_matmul_kernel`]) or thread count.
     ///
     /// Note there is deliberately *no* skip of zero left-hand entries:
     /// `0 * NaN` and `0 * Inf` must produce `NaN` so that divergence in
-    /// one operand is never silently masked (IEEE-754 semantics); see
-    /// [`Tensor::matmul_sparse_lhs`] for the opt-in sparse path.
+    /// one operand is never silently masked (IEEE-754 semantics).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -193,48 +192,6 @@ impl Tensor {
             other.cols,
             &mut out.data,
         );
-    }
-
-    /// Matrix product that skips zero entries of `self` (the left operand).
-    ///
-    /// This is the former fast path of [`Tensor::matmul`], now explicit:
-    /// it is only valid when `other` is known to be finite (checked by a
-    /// debug assertion), because a skipped `0 * NaN` / `0 * Inf` yields
-    /// `0` instead of `NaN`. Use it for genuinely sparse left operands
-    /// (indicator/one-hot matrices). On finite inputs the result is
-    /// bitwise identical to [`Tensor::matmul`]: a skipped term is a
-    /// `±0.0` product, and adding `±0.0` to a `+0.0`-initialized
-    /// accumulator (which IEEE-754 addition can never turn into `-0.0`)
-    /// leaves its bits unchanged.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch. Debug builds panic when
-    /// `other` contains non-finite values.
-    pub fn matmul_sparse_lhs(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: [{}, {}] @ [{}, {}]",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        debug_assert!(
-            other.all_finite(),
-            "matmul_sparse_lhs requires a finite right operand: skipped \
-             zero entries would silently turn 0 * NaN / 0 * Inf into 0"
-        );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in self.row(i).iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b;
-                }
-            }
-        }
-        out
     }
 
     /// Transpose.
@@ -431,7 +388,7 @@ impl FromJson for Tensor {
         let rows: usize = j.req("rows")?;
         let cols: usize = j.req("cols")?;
         let data: Vec<f32> = j.req("data")?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(JsonError::new(format!(
                 "tensor data length {} does not match shape [{rows}, {cols}]",
                 data.len()
@@ -488,13 +445,6 @@ mod tests {
         let b = Tensor::from_vec(2, 1, vec![f32::INFINITY, 5.0]);
         let c = a.matmul(&b);
         assert!(c.get(0, 0).is_nan(), "0 * Inf must propagate as NaN");
-    }
-
-    #[test]
-    fn matmul_sparse_lhs_matches_dense_on_finite_inputs() {
-        let a = Tensor::from_vec(2, 3, vec![0.0, 2.0, 0.0, 1.0, 0.0, 3.0]);
-        let b = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.matmul_sparse_lhs(&b), a.matmul(&b));
     }
 
     #[test]
@@ -571,6 +521,17 @@ mod tests {
         let restored = Tensor::from_json(&t.to_json()).unwrap();
         assert_eq!(restored, t);
         let bad = nlidb_json::Json::parse(r#"{"rows":2,"cols":2,"data":[1.0]}"#).unwrap();
+        assert!(Tensor::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn json_shape_overflow_is_an_error() {
+        // 2^32 * 2^32 overflows usize: it must be rejected, not wrap to 0
+        // (release) or panic (debug).
+        let bad = nlidb_json::Json::parse(
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+        )
+        .unwrap();
         assert!(Tensor::from_json(&bad).is_err());
     }
 

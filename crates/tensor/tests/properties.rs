@@ -297,10 +297,10 @@ fn blocked_matmul_matches_reference_kernel_on_odd_shapes() {
 #[test]
 fn single_row_matmul_parallelizes_bitwise_identically() {
     let _guard = KernelGuard::new();
-    // Regression for the old `rows >= 2` fan-out guard: a 1×K @ K×V
-    // product (the decoder's vocab projection — the hottest serving
-    // shape) must engage the column-chunked parallel path and still be
-    // bitwise equal to the serial reference.
+    // A 1×K @ K×V product (the decoder's vocab projection — the hottest
+    // serving shape) runs the serial scalar row kernel at every pool
+    // width; this pins that the answer is bitwise independent of the
+    // thread count and of the kernel knob.
     for case in 0..4 {
         let mut rng = case_rng(13, case);
         let k = rng.gen_range(256..640usize);
@@ -320,34 +320,6 @@ fn single_row_matmul_parallelizes_bitwise_identically() {
                  matmul differs from serial"
             );
         }
-    }
-}
-
-#[test]
-fn matmul_sparse_lhs_matches_dense_at_blocked_sizes() {
-    // The sparse-LHS path skips zero entries, which is only exact because
-    // dense accumulation of `0.0 * finite` terms is also exact; this must
-    // keep holding at sizes where the dense side takes the blocked kernel.
-    for case in 0..8 {
-        let mut rng = case_rng(14, case);
-        let m = rng.gen_range(33..96usize);
-        let k = rng.gen_range(33..96usize);
-        let n = rng.gen_range(33..96usize);
-        let data = (0..m * k)
-            .map(|_| {
-                if rng.gen_range(0.0f32..1.0) < 0.7 {
-                    0.0
-                } else {
-                    rng.gen_range(-2.0f32..2.0)
-                }
-            })
-            .collect();
-        let a = Tensor::from_vec(m, k, data);
-        let b = arb_tensor(&mut rng, k, n);
-        assert!(
-            bitwise_eq(&a.matmul_sparse_lhs(&b), &a.matmul(&b)),
-            "case {case} ({m}x{k} @ {k}x{n}): sparse-LHS differs from dense"
-        );
     }
 }
 

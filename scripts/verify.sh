@@ -32,7 +32,11 @@ cargo run -q --release --offline -p nlidb-lint -- --format=json
 # The full suite twice: once pinned to the exact serial path, once with
 # the pool at its default width. The threading contract (DESIGN.md
 # "Threading & determinism") promises bitwise-identical results either
-# way, so both runs must be green.
+# way, so both runs must be green. Execution-guided decoding is covered
+# here too: crates/core/tests/guided_decode.rs pins the guidance-off
+# identity, the pure-filter and never-fails contracts, and
+# crates/core/tests/guided_trace.rs pins the decode.guide.* trace
+# families and lazy judging (DESIGN.md "Execution-guided decoding").
 NLIDB_THREADS=1 cargo test -q --offline --workspace
 cargo test -q --offline --workspace
 
@@ -62,15 +66,6 @@ NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin trace_smoke
 # serving by at least 2x per request on a repeated-table workload
 # (DESIGN.md "Serving & batching").
 NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin serve_smoke
-
-# Guided smoke: execution-guided decoding. Guidance-off decoding must be
-# byte-identical to the pre-guidance path, every guided prediction over a
-# fresh sharded corpus must execute without ExecError (or be the
-# documented unguided last resort), passing top candidates must be
-# committed unchanged, and the decode.guide.* trace families must appear
-# next to the storage.* executor counters (DESIGN.md "Execution-guided
-# decoding").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin guided_smoke
 
 # Server smoke: replays a fixed request log against the TCP server under
 # different inference thread counts, connection counts, and micro-batch
