@@ -287,9 +287,11 @@ fn bench_serve(records: &mut Vec<Record>) {
 }
 
 /// The TCP serving layer end to end: one `ask` round trip over loopback
-/// against a warm cache (protocol encode + socket + micro-batch + cache
-/// hit + response decode), and a 16-deep pipelined burst amortizing the
-/// per-round-trip latency.
+/// against a warm cache (protocol encode + socket + engine dispatch +
+/// cache hit + response decode), and a 16-deep pipelined burst. The
+/// connection submits every buffered frame before it awaits a reply,
+/// so the burst shares socket round trips and engine batches instead
+/// of costing 16 round trips.
 fn bench_server(records: &mut Vec<Record>) {
     use std::io::{BufRead, BufReader, Write};
 

@@ -1,9 +1,10 @@
 //! A minimal blocking client for the wire protocol — enough for tests,
 //! benches, examples, and operator scripts; not a connection pool.
 //!
-//! One request in flight at a time, mirroring the server's
-//! one-response-per-request ordering guarantee: `request` writes a
-//! frame, then blocks until the matching response frame arrives.
+//! `request` keeps one request in flight: it writes a frame, then
+//! blocks until the matching response frame arrives. To pipeline, write
+//! several frames with `send_line` and then call `read_response` once
+//! per frame — the server answers each connection in request order.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

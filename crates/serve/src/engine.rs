@@ -16,15 +16,18 @@
 //!
 //! ## Micro-batching
 //!
-//! The loop collects `ask`/`batch` jobs until either `max_batch_questions`
-//! questions are pending or the linger deadline passes, then dispatches
-//! them as one [`ServeEngine::serve`] call. `ServeEngine` guarantees
-//! batched output is byte-identical to serving each request alone, so
-//! the *timing* knobs (`linger`, and the wall-clock reads backing them)
+//! Batches follow load, not a timer. The loop blocks for the first job;
+//! when it is an `ask`/`batch`, it drains whatever serve jobs are
+//! *already queued* — without waiting — up to `max_batch_questions`
+//! questions, and dispatches them as one [`ServeEngine::serve`] call.
+//! An idle engine therefore answers a lone request at once, and batches
+//! grow only while a batch is in flight and requests pile up behind it.
+//! The engine reads no clock. `ServeEngine` guarantees batched output is
+//! byte-identical to serving each request alone, so batch boundaries
 //! affect latency and throughput only — never bytes. Control jobs
-//! (register / swap / stats / shutdown) act as batch barriers: one
-//! arriving mid-collection ends the batch, which dispatches before the
-//! control job runs, preserving queue order.
+//! (register / swap / stats / shutdown) act as batch barriers: one met
+//! while draining ends the batch, which dispatches before the control
+//! job runs, preserving queue order.
 //!
 //! ## Hot swap
 //!
@@ -37,9 +40,8 @@
 
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use nlidb_core::{CacheTableStats, Nlidb, PredictionCache, ServeEngine, ServeRequest};
 use nlidb_storage::Table;
@@ -87,11 +89,10 @@ pub(crate) enum Job {
     Shutdown { reply: ReplyTx },
 }
 
-/// Engine configuration (micro-batch triggers).
+/// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineConfig {
     pub max_batch_questions: usize,
-    pub linger: Duration,
     pub cache_capacity: usize,
 }
 
@@ -164,27 +165,23 @@ impl Engine {
         // channels close, and each connection answers `shutting_down`.
     }
 
-    /// Gathers serve jobs until the size or linger trigger fires. A
-    /// control job arriving mid-collection is returned for the caller
-    /// to run *after* the batch — queue order is preserved.
+    /// Drains the serve jobs already queued behind `first`, stopping at
+    /// `max_batch_questions`, at an empty queue, or at a control job. A
+    /// control job is returned for the caller to run *after* the batch —
+    /// queue order is preserved.
     fn collect_batch(&self, first: ServeJob, rx: &Receiver<Job>) -> (Vec<ServeJob>, Option<Job>) {
+        let mut queued = first.items.len();
         let mut pending = vec![first];
-        let mut queued: usize = pending.iter().map(|j| j.items.len()).sum();
-        // Wall-clock here bounds *latency* only; batch boundaries never
-        // influence response bytes (see module docs).
-        let deadline = Instant::now() + self.cfg.linger;
         while queued < self.cfg.max_batch_questions {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
+            match rx.try_recv() {
                 Ok(Job::Serve(j)) => {
                     queued += j.items.len();
                     pending.push(j);
                 }
                 Ok(control) => return (pending, Some(control)),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+                // Empty: nothing is waiting, so waiting longer would only
+                // add latency. Disconnected: `run` sees it on its next recv.
+                Err(_) => break,
             }
         }
         (pending, None)

@@ -26,7 +26,7 @@
 //! For a fixed request log (registrations before the asks that use
 //! them), the body of every `ask`/`batch` response is byte-identical
 //! regardless of connection count, thread scheduling, micro-batch
-//! boundaries, or timeout settings. This holds because (a) all
+//! boundaries, pipelining depth, or timeout settings. This holds because (a) all
 //! answer-affecting state is owned by one engine thread, (b) the
 //! batched engine is byte-identical to sequential prediction, and
 //! (c) timeouts and admission only decide *whether/when* a request is

@@ -4,12 +4,21 @@
 //! ## Thread model
 //!
 //! One polling acceptor thread, one engine thread (`crate::engine`),
-//! and one thread per live connection. Connection threads are
-//! synchronous: read one frame, admit it, submit it to the engine
-//! queue, wait for the result, write one response frame. One request
-//! in flight per connection keeps responses in request order on every
-//! connection with zero reordering machinery, and bounds per-connection
-//! memory to one frame each way.
+//! and one thread per live connection. A connection thread decodes,
+//! admits and submits *every complete frame already buffered* before it
+//! waits for any reply, so requests a client pipelines reach the engine
+//! queue together and can share a batch. The replies it owes sit in one
+//! per-connection FIFO — a response made on the spot (bad frame, shed,
+//! too long) or the engine's reply channel — and once no complete frame
+//! is left in the buffer, the thread writes them in request order,
+//! waiting on each in turn. Only then does it block on the socket again:
+//! it never waits on a read while replies are owed, so a client that
+//! pipelines and then waits cannot deadlock it. Replies stay in request
+//! order on every connection with no reordering machinery, and no
+//! thread beyond the one per connection is needed. In-flight work per
+//! connection stays bounded: admission caps it at `per_tenant`
+//! questions, and the reader holds at most one partial frame plus the
+//! complete frames delivered by its last read.
 //!
 //! ## Timeouts never touch response bytes
 //!
@@ -29,11 +38,12 @@
 //! to a history in which the bad request never arrived
 //! (`tests/fault_injection.rs`).
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -43,24 +53,23 @@ use nlidb_json::{decode_frame, FrameError, Json, ToJson, MAX_FRAME_BYTES};
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::engine::{Engine, EngineConfig, Job, ServeJob};
-use crate::protocol::{ErrorCode, Op, Request, Response, WireError};
+use crate::protocol::{ErrorCode, Op, Reply, Request, Response, WireError};
 
 /// How often the acceptor polls for shutdown between `accept` attempts.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Server configuration. [`Default`] gives a loopback server on an
-/// OS-assigned port with small-batch, low-latency settings.
+/// OS-assigned port.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `"127.0.0.1:0"` (port 0 = OS-assigned; read
     /// the actual port from [`ServerHandle::addr`]).
     pub addr: String,
-    /// Micro-batch size trigger: dispatch as soon as this many
-    /// questions are pending.
+    /// Micro-batch size cap: the engine drains at most this many
+    /// already-queued questions into one batch. It never waits for a
+    /// batch to fill — an idle engine dispatches a lone question at
+    /// once. Affects latency and throughput only, never bytes.
     pub max_batch_questions: usize,
-    /// Micro-batch latency trigger: dispatch at most this long after
-    /// the first pending question. Affects latency only, never bytes.
-    pub linger: Duration,
     /// Prediction-cache capacity (`0` disables caching).
     pub cache_capacity: usize,
     /// Admission-control bounds.
@@ -78,7 +87,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_batch_questions: 32,
-            linger: Duration::from_millis(2),
             cache_capacity: 1024,
             admission: AdmissionConfig::default(),
             read_poll: Duration::from_millis(25),
@@ -123,7 +131,6 @@ impl Server {
             Arc::clone(&requests),
             EngineConfig {
                 max_batch_questions: cfg.max_batch_questions.max(1),
-                linger: cfg.linger,
                 cache_capacity: cfg.cache_capacity,
             },
         );
@@ -255,82 +262,115 @@ fn accept_loop(
     }
 }
 
-/// One frame-read attempt's outcome.
-enum ReadOutcome {
-    /// A complete line (terminator included), within the frame bound.
-    Frame(String),
-    /// The line exceeded [`MAX_FRAME_BYTES`]; the reader discarded
-    /// through the terminating newline, so framing is intact.
+/// Bytes requested from the socket per read: enough for a deep burst
+/// of typical frames to arrive, and be submitted, in one read.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// One frame taken from a [`LineReader`]'s buffer.
+#[derive(Debug, PartialEq)]
+enum Frame {
+    /// A complete line (terminator included).
+    Line(String),
+    /// The line exceeded [`MAX_FRAME_BYTES`]; the reader discarded it
+    /// through its terminating newline, so framing is intact.
     TooLong,
     /// The line held invalid UTF-8 (consumed through its newline).
     BadUtf8,
-    /// Peer closed the connection (EOF — possibly mid-line; any partial
-    /// frame is discarded unprocessed).
-    Closed,
-    /// The server is shutting down.
-    ShuttingDown,
 }
 
 /// A bounded, shutdown-aware line reader over a blocking socket with a
 /// read timeout. Unlike `BufReader::read_line`, it survives timeouts
-/// mid-line, bounds buffered bytes to one frame, and resynchronizes
-/// after an oversized line instead of ballooning memory.
-struct LineReader {
-    stream: TcpStream,
+/// mid-line, holds at most one partial frame plus one read's worth of
+/// bytes, resynchronizes after an oversized line instead of ballooning
+/// memory, and searches every byte for a terminator exactly once — so
+/// a frame near the bound costs linear, not quadratic, time.
+struct LineReader<R> {
+    stream: R,
     buf: Vec<u8>,
+    /// Start of the bytes not yet taken as frames.
+    head: usize,
+    /// `buf[head..scanned]` is known to hold no newline.
+    scanned: usize,
+    /// Dropping an oversized line up to its newline.
+    discarding: bool,
 }
 
-impl LineReader {
-    fn new(stream: TcpStream) -> LineReader {
-        LineReader { stream, buf: Vec::new() }
+impl<R: Read> LineReader<R> {
+    fn new(stream: R) -> LineReader<R> {
+        LineReader { stream, buf: Vec::new(), head: 0, scanned: 0, discarding: false }
     }
 
-    fn read_frame(&mut self, shutdown: &AtomicBool) -> ReadOutcome {
-        let mut discarding = false;
-        let mut chunk = [0u8; 4096];
-        loop {
-            // A buffered terminator completes a frame.
-            if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=i).collect();
-                return match String::from_utf8(line) {
-                    Ok(s) => ReadOutcome::Frame(s),
-                    Err(_) => ReadOutcome::BadUtf8,
-                };
-            }
+    /// Takes the next complete frame already buffered, without touching
+    /// the socket; `None` when only a partial frame (or nothing) is left.
+    fn next_frame(&mut self) -> Option<Frame> {
+        let unscanned = self.buf.get(self.scanned..).unwrap_or_default();
+        let Some(end) = unscanned.iter().position(|&b| b == b'\n').map(|k| self.scanned + k + 1)
+        else {
+            // Drop the frames already taken, so the next read appends to
+            // the partial line alone.
+            self.buf.drain(..self.head);
+            self.head = 0;
+            self.scanned = self.buf.len();
             // Too much buffered without a terminator: switch to discard
-            // mode (drop bytes until the newline) so a runaway line
-            // costs one chunk of memory, not unbounded growth.
-            if !discarding && self.buf.len() >= MAX_FRAME_BYTES {
-                self.buf.clear();
-                discarding = true;
+            // mode (drop bytes until the newline) so a runaway line costs
+            // one read of memory, not unbounded growth.
+            if self.buf.len() >= MAX_FRAME_BYTES {
+                self.discarding = true;
             }
+            if self.discarding {
+                self.buf.clear();
+                self.scanned = 0;
+            }
+            return None;
+        };
+        let start = mem::replace(&mut self.head, end);
+        self.scanned = end;
+        if mem::take(&mut self.discarding) {
+            return Some(Frame::TooLong);
+        }
+        let line = self.buf.get(start..end).unwrap_or_default();
+        Some(match std::str::from_utf8(line) {
+            Ok(s) => Frame::Line(s.to_owned()),
+            Err(_) => Frame::BadUtf8,
+        })
+    }
+
+    /// Blocks until more bytes arrive. Returns `false` when the peer
+    /// closed the connection (a partial frame is discarded unprocessed)
+    /// or the server is shutting down.
+    fn fill(&mut self, shutdown: &AtomicBool) -> bool {
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
             match self.stream.read(&mut chunk) {
-                Ok(0) => return ReadOutcome::Closed,
+                Ok(0) => return false,
                 Ok(n) => {
-                    if discarding {
-                        if let Some(i) = chunk[..n].iter().position(|&b| b == b'\n') {
-                            self.buf.extend_from_slice(&chunk[i + 1..n]);
-                            return ReadOutcome::TooLong;
-                        }
-                    } else {
-                        self.buf.extend_from_slice(&chunk[..n]);
-                    }
+                    self.buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+                    return true;
                 }
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                 {
                     if shutdown.load(Ordering::SeqCst) {
-                        return ReadOutcome::ShuttingDown;
+                        return false;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return ReadOutcome::Closed,
+                Err(_) => return false,
             }
         }
     }
 }
 
-/// The per-connection loop: read frame → handle → write response.
+/// A reply owed to the client, kept in request order.
+enum Pending {
+    /// Made on the connection thread (bad frame, shed, …).
+    Ready(Response),
+    /// Submitted to the engine; the result arrives on the channel.
+    Queued(Json, Receiver<Result<Reply, WireError>>),
+}
+
+/// The per-connection loop: submit every buffered frame, write the
+/// replies owed in order, then read more.
 fn handle_conn(stream: TcpStream, jobs: Sender<Job>, shared: Arc<Shared>) {
     nlidb_trace::count("server.connections", 1);
     let _ = stream.set_nodelay(true);
@@ -340,88 +380,86 @@ fn handle_conn(stream: TcpStream, jobs: Sender<Job>, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.read_poll));
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
     let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+        Ok(w) => BufWriter::new(w),
         Err(_) => return,
     };
     let mut reader = LineReader::new(stream);
+    let mut owed: VecDeque<Pending> = VecDeque::new();
     loop {
-        let line = match reader.read_frame(&shared.shutdown) {
-            ReadOutcome::Closed | ReadOutcome::ShuttingDown => break,
-            ReadOutcome::TooLong => {
-                let resp = Response::err(
-                    Json::Null,
-                    WireError::new(
-                        ErrorCode::FrameTooLong,
-                        format!("frame exceeds the {MAX_FRAME_BYTES}-byte limit"),
-                    ),
-                );
-                if write_response(&mut writer, &shared, resp) {
-                    continue;
-                }
-                break;
+        while let Some(frame) = reader.next_frame() {
+            if let Some(pending) = handle_frame(frame, &jobs, &shared) {
+                owed.push_back(pending);
             }
-            ReadOutcome::BadUtf8 => {
-                let resp = Response::err(
-                    Json::Null,
-                    WireError::new(ErrorCode::BadFrame, "frame is not valid UTF-8"),
-                );
-                if write_response(&mut writer, &shared, resp) {
-                    continue;
-                }
-                break;
-            }
-            ReadOutcome::Frame(line) => line,
-        };
-        // Blank lines between frames are tolerated (interactive use).
-        if line.trim().is_empty() {
-            continue;
         }
-        let _sp = nlidb_trace::span("server.request");
-        let response = match decode_frame(&line) {
-            Err(FrameError::TooLong(_)) => Response::err(
-                Json::Null,
-                WireError::new(
-                    ErrorCode::FrameTooLong,
-                    format!("frame exceeds the {MAX_FRAME_BYTES}-byte limit"),
-                ),
-            ),
-            Err(FrameError::BadJson(m)) => Response::err(
-                Json::Null,
-                WireError::new(ErrorCode::BadFrame, format!("frame is not valid JSON: {m}")),
-            ),
-            Ok(json) => {
-                // Echo the id even when the request is otherwise invalid.
-                let id = json.get("id").cloned().unwrap_or(Json::Null);
-                match Request::decode(&json) {
-                    Err(e) => Response::err(id, e),
-                    Ok(req) => handle_request(req, &jobs, &shared),
-                }
-            }
-        };
-        if !write_response(&mut writer, &shared, response) {
+        if !write_owed(&mut writer, &shared, &mut owed) {
+            break;
+        }
+        if !reader.fill(&shared.shutdown) {
             break;
         }
     }
 }
 
-/// Admits (if applicable), submits, and awaits one decoded request.
-fn handle_request(req: Request, jobs: &Sender<Job>, shared: &Shared) -> Response {
+/// Decodes one frame and submits it; `None` for a blank line, which is
+/// tolerated between frames (interactive use) and gets no reply.
+fn handle_frame(frame: Frame, jobs: &Sender<Job>, shared: &Shared) -> Option<Pending> {
+    let too_long = || {
+        Response::err(
+            Json::Null,
+            WireError::new(
+                ErrorCode::FrameTooLong,
+                format!("frame exceeds the {MAX_FRAME_BYTES}-byte limit"),
+            ),
+        )
+    };
+    let line = match frame {
+        Frame::TooLong => return Some(Pending::Ready(too_long())),
+        Frame::BadUtf8 => {
+            return Some(Pending::Ready(Response::err(
+                Json::Null,
+                WireError::new(ErrorCode::BadFrame, "frame is not valid UTF-8"),
+            )))
+        }
+        Frame::Line(line) => line,
+    };
+    if line.trim().is_empty() {
+        return None;
+    }
+    let _sp = nlidb_trace::span("server.request");
+    Some(match decode_frame(&line) {
+        Err(FrameError::TooLong(_)) => Pending::Ready(too_long()),
+        Err(FrameError::BadJson(m)) => Pending::Ready(Response::err(
+            Json::Null,
+            WireError::new(ErrorCode::BadFrame, format!("frame is not valid JSON: {m}")),
+        )),
+        Ok(json) => {
+            // Echo the id even when the request is otherwise invalid.
+            let id = json.get("id").cloned().unwrap_or(Json::Null);
+            match Request::decode(&json) {
+                Err(e) => Pending::Ready(Response::err(id, e)),
+                Ok(req) => handle_request(req, jobs, shared),
+            }
+        }
+    })
+}
+
+/// Admits (if applicable) and submits one decoded request, without
+/// waiting for its result.
+fn handle_request(req: Request, jobs: &Sender<Job>, shared: &Shared) -> Pending {
     let Request { id, tenant, op } = req;
     let (tx, rx) = mpsc::channel();
-    let shutting_down =
-        |id: Json| Response::err(id, WireError::new(ErrorCode::ShuttingDown, "server is shutting down"));
     let job = match op {
         Op::Ask(item) => match shared.admission.try_admit(&tenant, 1) {
             Some(permit) => {
                 Job::Serve(ServeJob { tenant, items: vec![item], wrap_batch: false, reply: tx, permit })
             }
-            None => return shed(id, &tenant),
+            None => return Pending::Ready(shed(id, &tenant)),
         },
         Op::Batch { items } => match shared.admission.try_admit(&tenant, items.len()) {
             Some(permit) => {
                 Job::Serve(ServeJob { tenant, items, wrap_batch: true, reply: tx, permit })
             }
-            None => return shed(id, &tenant),
+            None => return Pending::Ready(shed(id, &tenant)),
         },
         Op::RegisterTable { table } => Job::Register { tenant, table, reply: tx },
         Op::SwapCheckpoint { path } => Job::Swap { path, reply: tx },
@@ -429,13 +467,50 @@ fn handle_request(req: Request, jobs: &Sender<Job>, shared: &Shared) -> Response
         Op::Shutdown => Job::Shutdown { reply: tx },
     };
     if jobs.send(job).is_err() {
-        return shutting_down(id);
+        return Pending::Ready(shutting_down(id));
     }
-    match rx.recv() {
-        Ok(result) => Response { id, result },
-        // The engine dropped the queue (shutdown) before answering.
-        Err(_) => shutting_down(id),
+    Pending::Queued(id, rx)
+}
+
+/// Writes every owed reply in request order, waiting on the engine for
+/// each queued one; returns `false` when the connection should close.
+/// Written bytes are flushed before any wait, so a reply never sits in
+/// the buffer while a later one is being computed.
+fn write_owed(
+    writer: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+    owed: &mut VecDeque<Pending>,
+) -> bool {
+    while let Some(pending) = owed.pop_front() {
+        let resp = match pending {
+            Pending::Ready(resp) => resp,
+            Pending::Queued(id, rx) => {
+                let answered = match rx.try_recv() {
+                    Err(TryRecvError::Empty) => {
+                        if writer.flush().is_err() {
+                            return false;
+                        }
+                        rx.recv().ok()
+                    }
+                    ready => ready.ok(),
+                };
+                match answered {
+                    Some(result) => Response { id, result },
+                    // The engine dropped the queue (shutdown) before answering.
+                    None => shutting_down(id),
+                }
+            }
+        };
+        if !write_response(writer, shared, resp) {
+            return false;
+        }
     }
+    writer.flush().is_ok()
+}
+
+/// The response for a request the engine will never answer.
+fn shutting_down(id: Json) -> Response {
+    Response::err(id, WireError::new(ErrorCode::ShuttingDown, "server is shutting down"))
 }
 
 /// The deterministic shed response: its bytes depend only on the
@@ -455,7 +530,7 @@ fn shed(id: Json, tenant: &str) -> Response {
 /// connection should close. Mirrors `nlidb_json::encode_frame` but
 /// substitutes a structured error instead of panicking if a response
 /// ever exceeds the frame bound.
-fn write_response(writer: &mut TcpStream, shared: &Shared, resp: Response) -> bool {
+fn write_response(writer: &mut impl Write, shared: &Shared, resp: Response) -> bool {
     let mut body = resp.to_json().to_string();
     if body.len() + 1 > MAX_FRAME_BYTES {
         let fallback = Response::err(
@@ -474,5 +549,90 @@ fn write_response(writer: &mut TcpStream, shared: &Shared, resp: Response) -> bo
     if resp.result.is_err() {
         nlidb_trace::count("server.errors", 1);
     }
-    writer.write_all(body.as_bytes()).and_then(|()| writer.flush()).is_ok()
+    writer.write_all(body.as_bytes()).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stream that hands out scripted chunks, one per `read`, then EOF.
+    struct Script(VecDeque<Vec<u8>>);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let Some(mut chunk) = self.0.pop_front() else { return Ok(0) };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    /// Reads the script to EOF, collecting every frame in order.
+    fn frames(chunks: Vec<Vec<u8>>) -> Vec<Frame> {
+        let mut reader = LineReader::new(Script(chunks.into()));
+        let shutdown = AtomicBool::new(false);
+        let mut out = Vec::new();
+        loop {
+            while let Some(frame) = reader.next_frame() {
+                out.push(frame);
+            }
+            if !reader.fill(&shutdown) {
+                return out;
+            }
+        }
+    }
+
+    fn line(s: &str) -> Frame {
+        Frame::Line(s.to_string())
+    }
+
+    #[test]
+    fn frame_delivered_one_byte_per_read_is_reassembled() {
+        let bytes = b"{\"op\":\"stats\"}\n{}\n";
+        let got = frames(bytes.iter().map(|&b| vec![b]).collect());
+        assert_eq!(got, vec![line("{\"op\":\"stats\"}\n"), line("{}\n")]);
+    }
+
+    #[test]
+    fn one_read_yields_every_complete_frame_and_keeps_the_partial_one() {
+        let mut reader = LineReader::new(Script(
+            vec![b"a\nbb\n\xff\nccc".to_vec(), b"c\n".to_vec()].into(),
+        ));
+        let shutdown = AtomicBool::new(false);
+        assert!(reader.fill(&shutdown));
+        assert_eq!(reader.next_frame(), Some(line("a\n")));
+        assert_eq!(reader.next_frame(), Some(line("bb\n")));
+        assert_eq!(reader.next_frame(), Some(Frame::BadUtf8));
+        assert_eq!(reader.next_frame(), None, "the partial frame waits for its newline");
+        assert_eq!(reader.buf, b"ccc", "taken frames are dropped from the buffer");
+        assert_eq!(reader.scanned, 3, "the partial frame is not searched again");
+        assert!(reader.fill(&shutdown));
+        assert_eq!(reader.next_frame(), Some(line("cccc\n")));
+        assert_eq!(reader.next_frame(), None);
+        assert!(!reader.fill(&shutdown), "EOF");
+    }
+
+    #[test]
+    fn oversized_line_is_dropped_and_the_frame_sharing_its_last_chunk_survives() {
+        let mut chunks: Vec<Vec<u8>> =
+            (0..(MAX_FRAME_BYTES / READ_CHUNK + 2)).map(|_| vec![b'x'; READ_CHUNK]).collect();
+        chunks.push(b"xx\n{\"op\":\"stats\"}\n".to_vec());
+        let mut reader = LineReader::new(Script(chunks.into()));
+        let shutdown = AtomicBool::new(false);
+        let mut got = Vec::new();
+        loop {
+            while let Some(frame) = reader.next_frame() {
+                got.push(frame);
+            }
+            assert!(reader.buf.len() <= MAX_FRAME_BYTES + READ_CHUNK, "buffer stays bounded");
+            if !reader.fill(&shutdown) {
+                break;
+            }
+        }
+        assert_eq!(got, vec![Frame::TooLong, line("{\"op\":\"stats\"}\n")]);
+    }
 }

@@ -3,7 +3,9 @@
 //! UTF-8, mid-request disconnects, and admission shedding must each
 //! produce their documented error code — and leave the engine's state
 //! (catalog, cache, question/batch counters) byte-identical to a
-//! history in which the faulty input never arrived.
+//! history in which the faulty input never arrived. Pipelined faults
+//! keep their place in the reply order, and a pipeline abandoned
+//! unread releases every admission permit it took.
 
 mod common;
 
@@ -208,6 +210,43 @@ fn zero_capacity_tenant_sheds_deterministically_and_statelessly() {
 }
 
 #[test]
+fn abandoned_pipelined_connection_releases_every_permit() {
+    let _guard = pool_lock();
+    let server = start_default();
+    let mut c = RawClient::connect(server.addr());
+    let fp = register_first_table(&mut c);
+
+    // A client pipelines 16 asks in one write (about 4 KiB, well inside
+    // one server read) and vanishes without reading a single reply.
+    {
+        let burst: String =
+            (0..16).map(|i| encode_frame(&ask_request(300 + i, fp).to_json())).collect();
+        let mut ghost = RawClient::connect(server.addr());
+        ghost.send_bytes(burst.as_bytes());
+    }
+
+    // Every ask was submitted before the connection noticed the peer
+    // was gone, so all 16 are served; the replies are dropped and every
+    // admission permit comes back.
+    let mut polls = 0;
+    let stats = loop {
+        let s = fetch_stats(&mut c, 400 + polls);
+        if s.questions >= 16 {
+            break s;
+        }
+        polls += 1;
+        assert!(polls < 2000, "engine never served the abandoned pipeline");
+    };
+    let acme = stats.tenants.iter().find(|t| t.tenant == "acme").expect("acme row");
+    assert_eq!(acme.in_flight, 0, "abandoned pipeline leaked admission permits");
+    assert_eq!(acme.admitted, 16);
+
+    let line = c.roundtrip(&ask_request(5, fp));
+    assert!(line.contains("\"type\":\"answer\""), "{line}");
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_requests_are_answered_in_order() {
     let _guard = pool_lock();
     let sys = system();
@@ -233,6 +272,52 @@ fn pipelined_requests_are_answered_in_order() {
             line.starts_with(&format!("{{\"v\":1,\"id\":{},", i + 100)),
             "response {i} out of order: {line}"
         );
+    }
+
+    // A mixed burst in one write: faults answered on the connection
+    // thread interleave with engine work, and every reply still comes
+    // back in request order.
+    let mut mixed: Vec<u8> = encode_frame(&ask_request(200, fp).to_json()).into_bytes();
+    mixed.extend_from_slice(b"{oops\n");
+    mixed.resize(mixed.len() + MAX_FRAME_BYTES + 64, b'x');
+    mixed.push(b'\n');
+    mixed.extend_from_slice(encode_frame(&Request::new(201, "ops", Op::Stats).to_json()).as_bytes());
+    let batch = Request::new(202, "acme", Op::Batch {
+        items: (0..8)
+            .map(|i| AskItem {
+                fingerprint: fp,
+                question: sys.questions[i % sys.questions.len()].1.clone(),
+                guided: false,
+            })
+            .collect(),
+    });
+    mixed.extend_from_slice(encode_frame(&batch.to_json()).as_bytes());
+    mixed.extend_from_slice(&[0xff, 0xfe, b'\n']);
+    mixed.extend_from_slice(encode_frame(&ask_request(203, fp).to_json()).as_bytes());
+    c.send_bytes(&mixed);
+
+    let expected: [(&str, &str); 7] = [
+        ("200", "\"type\":\"answer\""),
+        ("null", "\"code\":\"bad_frame\""),
+        ("null", "\"code\":\"frame_too_long\""),
+        ("201", "\"type\":\"stats\""),
+        ("202", "\"type\":\"batch\""),
+        ("null", "\"code\":\"bad_frame\""),
+        ("203", "\"type\":\"answer\""),
+    ];
+    for (k, (id, marker)) in expected.iter().enumerate() {
+        let line = c.recv_line();
+        assert!(
+            line.starts_with(&format!("{{\"v\":1,\"id\":{id},")) && line.contains(marker),
+            "mixed reply {k}: want id {id} with {marker}, got {line}"
+        );
+        if *id == "202" {
+            let parsed = Json::parse(&line).expect("batch reply parses");
+            match Response::from_json(&parsed).expect("batch reply decodes").result {
+                Ok(Reply::Batch { results }) => assert_eq!(results.len(), 8),
+                other => panic!("expected a batch reply, got {other:?}"),
+            }
+        }
     }
     server.shutdown();
 }

@@ -1,14 +1,13 @@
 //! The wire-determinism replay harness (`docs/PROTOCOL.md` §5): a fixed
 //! request log is replayed against fresh servers under different
-//! inference thread counts, connection counts, and micro-batch timings,
-//! and every response line must be **byte-identical** across all
-//! configurations. Also pins hot-swap semantics: a swap never drops
-//! in-flight requests, a failed swap keeps the old model serving, and a
-//! swap back to the same checkpoint reproduces the same answer bytes.
+//! inference thread counts, connection counts, micro-batch caps, and
+//! pipelining depths, and every response line must be
+//! **byte-identical** across all configurations. Also pins hot-swap
+//! semantics: a swap never drops in-flight requests, a failed swap
+//! keeps the old model serving, and a swap back to the same checkpoint
+//! reproduces the same answer bytes.
 
 mod common;
-
-use std::time::Duration;
 
 use common::{pool_lock, system, RawClient};
 use nlidb_core::Nlidb;
@@ -39,6 +38,11 @@ fn build_log() -> (usize, Vec<Request>) {
     for (ti, q) in &sys.questions {
         log.push(Request::new(log.len() as i64, "acme", ask(*ti, q)));
     }
+    // …a hot swap to the same checkpoint mid-log: answers must not
+    // change, whichever side of the swap an ask lands on…
+    log.push(Request::new(log.len() as i64, "ops", Op::SwapCheckpoint {
+        path: sys.ckpt.display().to_string(),
+    }));
     // …then every other question again (cache-hit paths must yield the
     // same bytes as the original computation).
     for (ti, q) in sys.questions.iter().step_by(2) {
@@ -71,6 +75,21 @@ fn build_log() -> (usize, Vec<Request>) {
             ],
         },
     ));
+    // A batch larger than the per-tenant admission cap (64 by default):
+    // always shed, with bytes that are a function of id and tenant only.
+    log.push(Request::new(
+        log.len() as i64,
+        "flood",
+        Op::Batch {
+            items: (0..65)
+                .map(|_| AskItem {
+                    fingerprint: fps[0],
+                    question: sys.questions[0].1.clone(),
+                    guided: false,
+                })
+                .collect(),
+        },
+    ));
     // Tenancy: a stranger asking acme's table is `unknown_table`.
     log.push(Request::new(log.len() as i64, "intruder", ask(0, &sys.questions[0].1)));
     (setup_len, log)
@@ -78,8 +97,10 @@ fn build_log() -> (usize, Vec<Request>) {
 
 /// Replays the log against a fresh server: registrations first on one
 /// connection, then the rest round-robined over `conns` concurrent
-/// connections. Returns the raw response lines, indexed like the log.
-fn run_replay(cfg: ServerConfig, conns: usize) -> Vec<String> {
+/// connections. A `pipelined` connection writes all of its frames
+/// before it reads any reply; otherwise each frame waits for its reply.
+/// Returns the raw response lines, indexed like the log.
+fn run_replay(cfg: ServerConfig, conns: usize, pipelined: bool) -> Vec<String> {
     let sys = system();
     let nlidb = Nlidb::load(&sys.ckpt).expect("load test checkpoint");
     let server = Server::start(nlidb, cfg).expect("start test server");
@@ -106,6 +127,11 @@ fn run_replay(cfg: ServerConfig, conns: usize) -> Vec<String> {
                     framed.iter().skip(c).step_by(conns).cloned().collect();
                 s.spawn(move || {
                     let mut client = RawClient::connect(addr);
+                    if pipelined {
+                        let burst: String = mine.iter().map(|(_, f)| f.as_str()).collect();
+                        client.send_bytes(burst.as_bytes());
+                        return mine.into_iter().map(|(i, _)| (i, client.recv_line())).collect();
+                    }
                     mine.into_iter()
                         .map(|(i, frame)| {
                             client.send_bytes(frame.as_bytes());
@@ -127,44 +153,42 @@ fn run_replay(cfg: ServerConfig, conns: usize) -> Vec<String> {
 #[test]
 fn replay_is_byte_identical_across_threads_connections_and_batching() {
     let _guard = pool_lock();
-    let eager = ServerConfig {
-        max_batch_questions: 1,
-        linger: Duration::ZERO,
-        ..ServerConfig::default()
-    };
-    let lingering = ServerConfig {
-        max_batch_questions: 32,
-        linger: Duration::from_millis(10),
-        ..ServerConfig::default()
-    };
-    let mid = ServerConfig {
-        max_batch_questions: 4,
-        linger: Duration::from_millis(1),
-        ..ServerConfig::default()
-    };
-    let runs: Vec<(&str, usize, usize, ServerConfig)> = vec![
-        ("1 thread, 1 conn, batch=1", 1, 1, eager.clone()),
-        ("N threads, 1 conn, batch=1", pool::default_threads(), 1, eager),
-        ("1 thread, 4 conns, batch=32+linger", 1, 4, lingering),
-        ("N threads, 3 conns, batch=4", pool::default_threads(), 3, mid),
+    let batch = |max_batch_questions| ServerConfig { max_batch_questions, ..ServerConfig::default() };
+    let n = pool::default_threads();
+    let runs: Vec<(&str, usize, usize, usize, bool)> = vec![
+        ("1 thread, 1 conn, batch=1", 1, 1, 1, false),
+        ("N threads, 1 conn, batch=1", n, 1, 1, false),
+        ("1 thread, 4 conns, batch=32", 1, 4, 32, false),
+        ("N threads, 3 conns, batch=4", n, 3, 4, false),
+        ("1 thread, 1 conn, batch=32, pipelined", 1, 1, 32, true),
+        ("N threads, 3 conns, batch=4, pipelined", n, 3, 4, true),
     ];
 
     let mut outputs: Vec<(&str, Vec<String>)> = Vec::new();
-    for (label, threads, conns, cfg) in runs {
+    for (label, threads, conns, max_batch, pipelined) in runs {
         pool::set_threads(threads);
-        outputs.push((label, run_replay(cfg, conns)));
+        outputs.push((label, run_replay(batch(max_batch), conns, pipelined)));
     }
     pool::set_threads(pool::default_threads());
 
     let (ref_label, reference) = &outputs[0];
     // The log must be meaningful: real answers, a cache-hit region, the
-    // per-item batch error, and the tenancy rejection all present.
+    // mid-log swap, the per-item batch error, the shed flood, and the
+    // tenancy rejection all present.
     let answers = reference.iter().filter(|l| l.contains("\"type\":\"answer\"")).count();
-    assert!(answers >= 6, "reference produced too few answers ({answers}) to mean much");
+    assert!(answers >= 8, "reference produced too few answers ({answers}) to mean much");
     assert!(
         reference.iter().any(|l| l.contains("\"type\":\"batch\"")
             && l.contains("\"error\":{\"code\":\"unknown_table\"")),
         "batch example must carry its per-item error"
+    );
+    assert!(
+        reference.iter().any(|l| l.contains("\"type\":\"swapped\"")),
+        "hot swap must succeed mid-log"
+    );
+    assert!(
+        reference.iter().any(|l| l.contains("\"code\":\"overloaded\"")),
+        "oversize batch must be shed"
     );
     assert!(
         reference.last().expect("nonempty log").contains("\"code\":\"unknown_table\""),
@@ -237,11 +261,7 @@ fn swap_under_concurrent_load_drops_no_requests() {
     let _guard = pool_lock();
     let sys = system();
     let nlidb = Nlidb::load(&sys.ckpt).expect("load test checkpoint");
-    let cfg = ServerConfig {
-        max_batch_questions: 8,
-        linger: Duration::from_millis(1),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { max_batch_questions: 8, ..ServerConfig::default() };
     let server = Server::start(nlidb, cfg).expect("start test server");
     let addr = server.addr();
 

@@ -37,6 +37,12 @@ cargo run -q --release --offline -p nlidb-lint -- --format=json
 # identity, the pure-filter and never-fails contracts, and
 # crates/core/tests/guided_trace.rs pins the decode.guide.* trace
 # families and lazy judging (DESIGN.md "Execution-guided decoding").
+# The TCP server's wire contract is covered here as well:
+# crates/serve/tests/server_determinism.rs replays a fixed request log
+# (mid-log hot swap and shed flood included) serially and pipelined
+# under different thread counts, connection counts and batch caps, and
+# crates/serve/tests/server_trace.rs pins the server.* trace families
+# (DESIGN.md "Multi-tenant serving").
 NLIDB_THREADS=1 cargo test -q --offline --workspace
 cargo test -q --offline --workspace
 
@@ -66,12 +72,6 @@ NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin trace_smoke
 # serving by at least 2x per request on a repeated-table workload
 # (DESIGN.md "Serving & batching").
 NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin serve_smoke
-
-# Server smoke: replays a fixed request log against the TCP server under
-# different inference thread counts, connection counts, and micro-batch
-# timings — every response line must be byte-identical — and asserts the
-# server.* trace families (DESIGN.md "Multi-tenant serving").
-NLIDB_TRACE=1 cargo run -q --release --offline -p nlidb-bench --bin server_smoke
 
 # Corpus smoke: the sharded corpus plane end to end. Writes a small
 # corpus at two pool widths (byte-identical files), regenerates every
