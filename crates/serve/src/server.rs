@@ -18,7 +18,10 @@
 //! thread beyond the one per connection is needed. In-flight work per
 //! connection stays bounded: admission caps it at `per_tenant`
 //! questions, and the reader holds at most one partial frame plus the
-//! complete frames delivered by its last read.
+//! complete frames delivered by its last read. The cap also applies
+//! within one connection: a client that pipelines more than its
+//! tenant's cap may get `overloaded` replies for the excess, and how
+//! many depends on how far the engine has got.
 //!
 //! ## Timeouts never touch response bytes
 //!
@@ -39,11 +42,11 @@
 //! (`tests/fault_injection.rs`).
 
 use std::collections::VecDeque;
-use std::io::{self, BufWriter, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -262,9 +265,8 @@ fn accept_loop(
     }
 }
 
-/// Bytes requested from the socket per read: enough for a deep burst
-/// of typical frames to arrive, and be submitted, in one read.
-const READ_CHUNK: usize = 16 * 1024;
+/// Bytes requested from the socket per read.
+const READ_CHUNK: usize = 4096;
 
 /// One frame taken from a [`LineReader`]'s buffer.
 #[derive(Debug, PartialEq)]
@@ -380,7 +382,7 @@ fn handle_conn(stream: TcpStream, jobs: Sender<Job>, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.read_poll));
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
     let mut writer = match stream.try_clone() {
-        Ok(w) => BufWriter::new(w),
+        Ok(w) => w,
         Err(_) => return,
     };
     let mut reader = LineReader::new(stream);
@@ -474,38 +476,21 @@ fn handle_request(req: Request, jobs: &Sender<Job>, shared: &Shared) -> Pending 
 
 /// Writes every owed reply in request order, waiting on the engine for
 /// each queued one; returns `false` when the connection should close.
-/// Written bytes are flushed before any wait, so a reply never sits in
-/// the buffer while a later one is being computed.
-fn write_owed(
-    writer: &mut BufWriter<TcpStream>,
-    shared: &Shared,
-    owed: &mut VecDeque<Pending>,
-) -> bool {
+fn write_owed(writer: &mut TcpStream, shared: &Shared, owed: &mut VecDeque<Pending>) -> bool {
     while let Some(pending) = owed.pop_front() {
         let resp = match pending {
             Pending::Ready(resp) => resp,
-            Pending::Queued(id, rx) => {
-                let answered = match rx.try_recv() {
-                    Err(TryRecvError::Empty) => {
-                        if writer.flush().is_err() {
-                            return false;
-                        }
-                        rx.recv().ok()
-                    }
-                    ready => ready.ok(),
-                };
-                match answered {
-                    Some(result) => Response { id, result },
-                    // The engine dropped the queue (shutdown) before answering.
-                    None => shutting_down(id),
-                }
-            }
+            Pending::Queued(id, rx) => match rx.recv() {
+                Ok(result) => Response { id, result },
+                // The engine dropped the queue (shutdown) before answering.
+                Err(_) => shutting_down(id),
+            },
         };
         if !write_response(writer, shared, resp) {
             return false;
         }
     }
-    writer.flush().is_ok()
+    true
 }
 
 /// The response for a request the engine will never answer.
@@ -530,7 +515,7 @@ fn shed(id: Json, tenant: &str) -> Response {
 /// connection should close. Mirrors `nlidb_json::encode_frame` but
 /// substitutes a structured error instead of panicking if a response
 /// ever exceeds the frame bound.
-fn write_response(writer: &mut impl Write, shared: &Shared, resp: Response) -> bool {
+fn write_response(writer: &mut TcpStream, shared: &Shared, resp: Response) -> bool {
     let mut body = resp.to_json().to_string();
     if body.len() + 1 > MAX_FRAME_BYTES {
         let fallback = Response::err(

@@ -38,11 +38,6 @@ fn build_log() -> (usize, Vec<Request>) {
     for (ti, q) in &sys.questions {
         log.push(Request::new(log.len() as i64, "acme", ask(*ti, q)));
     }
-    // …a hot swap to the same checkpoint mid-log: answers must not
-    // change, whichever side of the swap an ask lands on…
-    log.push(Request::new(log.len() as i64, "ops", Op::SwapCheckpoint {
-        path: sys.ckpt.display().to_string(),
-    }));
     // …then every other question again (cache-hit paths must yield the
     // same bytes as the original computation).
     for (ti, q) in sys.questions.iter().step_by(2) {
@@ -61,6 +56,12 @@ fn build_log() -> (usize, Vec<Request>) {
         "acme",
         ask_guided(sys.questions[0].0, &sys.questions[0].1),
     ));
+    // A hot swap to the same checkpoint: it resets the cache, so the
+    // asks after it recompute answers first given before it, and the
+    // bytes must not change whichever side of the swap an ask lands on.
+    log.push(Request::new(log.len() as i64, "ops", Op::SwapCheckpoint {
+        path: sys.ckpt.display().to_string(),
+    }));
     // A mixed batch spanning both tables plus a bogus fingerprint (the
     // per-item error path), with guided and unguided items side by side.
     log.push(Request::new(
